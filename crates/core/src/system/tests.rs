@@ -496,6 +496,37 @@ fn steppers_agree_on_timeout() {
     assert_eq!(ev_stats, ref_stats);
 }
 
+/// A core spinning in register-only code touches no memory and sends no
+/// message, yet must still run out the cycle budget (not finish, not
+/// stall the host) on every stepper, at the same cycle.
+#[test]
+fn register_only_infinite_loop_times_out() {
+    let run = |stepper: Stepper| {
+        let mut a = Asm::new();
+        let top = a.new_label();
+        a.bind(top);
+        a.addi(Reg::R1, Reg::R1, 1);
+        a.delay(2);
+        a.jump(top);
+        let mut cfg = SystemConfig::builder()
+            .small()
+            .cores(2)
+            .protocol(Protocol::TsoCc(TsoCcConfig::realistic(12, 3)))
+            .build()
+            .expect("valid config");
+        cfg.stepper = stepper;
+        let mut sys = System::new(cfg, vec![a.finish()]);
+        let err = sys.run(50_000).unwrap_err();
+        (err, sys.collect_stats())
+    };
+    let (ev_err, ev_stats) = run(Stepper::EventDriven);
+    let (ref_err, ref_stats) = run(Stepper::Reference);
+    assert_eq!(ev_err, RunError::Timeout { max_cycles: 50_000 });
+    assert_eq!(ref_err, ev_err);
+    assert_eq!(ev_stats.cycles, 50_000);
+    assert_eq!(ev_stats, ref_stats);
+}
+
 /// A machine stalled on long memory round trips is exactly where the
 /// wake-list pays off: far fewer host steps than simulated cycles.
 #[test]

@@ -17,6 +17,30 @@
 //! - **fences** and **RMWs** drain the write buffer before executing;
 //!   RMWs are atomic at the L1.
 //!
+//! Timing is per cycle: one instruction issues per cycle, and the cycle
+//! after an instruction executed at cycle `v` is
+//!
+//! - `v + 1` after a register instruction, a forwarded load or a
+//!   buffered store,
+//! - `v + max(c, 1) + 1` after `Delay{c}` or a `RandDelay` drawing `c`,
+//! - `v + max(l1_hit_latency, 1) + 1` after a load or RMW that hits.
+//!
+//! **Run-ahead.** A [`Core::tick`] does not stop after one instruction:
+//! it goes on executing the following register-only instructions
+//! (`Movi`, `Alu`, `Alui`, `Branch`, `Jump`, `Delay`, `RandDelay`), each
+//! at the cycle the rule above gives it, and stops before the next
+//! memory operation or fence, before `Halt` or the end of the program,
+//! or after a fixed cap of 256 of them. The core then waits for the
+//! cycle of that next instruction. This is exact: the instructions run
+//! early touch only the core's registers, pc, private RNG and
+//! instruction counter, which nothing outside the core reads before the
+//! next memory operation or halt, and that one still executes at its
+//! per-cycle cycle. An event-driven run loop therefore wakes a core
+//! about once per memory operation instead of once per instruction.
+//! (When a run is cut off by its cycle budget, the instruction counter
+//! may include up to 256 register instructions of cycles past the
+//! cut.)
+//!
 //! Substitution note (DESIGN.md §2): the paper's cores are simple
 //! out-of-order with a 40-entry ROB. The consistency-relevant behaviour
 //! of such a core is exactly the in-order-issue + store-buffer model
@@ -87,14 +111,29 @@ enum Pending {
     DrainForFence,
     /// Store stalled on a full write buffer.
     WbFull { addr: Addr, value: u64 },
-    /// Local compute until the given cycle.
-    DelayUntil(Cycle),
+    /// The next instruction executes at the given cycle (after local
+    /// compute, an L1 hit's latency, or a register run executed ahead).
+    ResumeAt(Cycle),
+}
+
+/// Most register-only instructions one [`Core::tick`] runs ahead. It
+/// only bounds the host work of one tick, so that a pure-register loop
+/// cannot stall the host; simulated timing does not depend on it.
+const RUN_AHEAD_CAP: usize = 256;
+
+/// The cycle of the next instruction after one executed at `at` that
+/// occupies the core for `busy` cycles (a delay or an L1 hit latency):
+/// the core is free at the first tick at or after `at + busy` (and
+/// after `at`), and issues again one cycle later.
+fn resume_after(at: Cycle, busy: u64) -> Cycle {
+    at + busy.max(1) + 1
 }
 
 /// One simulated core: thread state, write buffer and pipeline control.
 ///
-/// Drive it once per cycle with [`Core::tick`], passing the core's L1
-/// controller. The core is finished when [`Core::is_done`] — the thread
+/// Drive it with [`Core::tick`], passing the core's L1 controller, every
+/// cycle or only at the cycles [`Core::next_event`] and L1 deliveries
+/// call for. The core is finished when [`Core::is_done`] — the thread
 /// has halted *and* the write buffer has fully drained.
 #[derive(Debug)]
 pub struct Core {
@@ -173,7 +212,11 @@ impl Core {
     /// cycle strictly before the returned value must be one where
     /// `tick` would have been a no-op — no instruction executed, no L1
     /// submit attempted, no statistic counted — so skipping preserves
-    /// bit-identical simulation results.
+    /// bit-identical simulation results. Register-only instructions the
+    /// last tick ran ahead count as executed by it: after such a run
+    /// the core reports the cycle of the next instruction (see the
+    /// crate docs for the cycle rule), one wake where a per-instruction
+    /// model would have had one per instruction.
     pub fn next_event(&self, now: Cycle) -> Cycle {
         if self.is_done() {
             return Cycle::MAX;
@@ -199,7 +242,7 @@ impl Core {
                     now
                 }
             }
-            Pending::DelayUntil(t) => t.max(now),
+            Pending::ResumeAt(t) => t.max(now),
             // Retries submit, and a full-buffer stall counts a stall
             // statistic, every cycle; neither may be skipped.
             Pending::Resubmit { .. } | Pending::WbFull { .. } => now,
@@ -224,7 +267,8 @@ impl Core {
             .map(|&(_, v)| v)
     }
 
-    /// Advances the core by one cycle against its L1.
+    /// Advances the core by one cycle against its L1, then runs the
+    /// following register-only instructions ahead (see the crate docs).
     pub fn tick(&mut self, now: Cycle, l1: &mut dyn L1Controller) {
         // 1. Collect completions of outstanding L1 transactions into
         // the reusable scratch buffer (moved out for the loop so the
@@ -276,9 +320,10 @@ impl Core {
         // 3. Advance the pipeline.
         match self.pending.clone() {
             Pending::WaitLoad { .. } | Pending::WaitRmw { .. } => {}
-            Pending::DelayUntil(t) => {
+            Pending::ResumeAt(t) => {
                 if now >= t {
                     self.pending = Pending::None;
+                    self.execute_one(now, l1);
                 }
             }
             Pending::WbFull { addr, value } => {
@@ -314,22 +359,52 @@ impl Core {
                 }
             }
         }
+
+        // 4. Run the following register-only instructions ahead.
+        self.run_ahead(now);
+    }
+
+    /// Executes the register-only instructions that follow, each at the
+    /// cycle the per-cycle model gives it, and parks the core until the
+    /// cycle of the first instruction it did not run.
+    fn run_ahead(&mut self, now: Cycle) {
+        let start = match self.pending {
+            Pending::None => now + 1,
+            Pending::ResumeAt(t) => t,
+            _ => return,
+        };
+        let mut at = start;
+        for _ in 0..RUN_AHEAD_CAP {
+            if !self.thread.next_is_local(&self.program) {
+                break;
+            }
+            self.stats.instructions.inc();
+            let effect = self.thread.step(&self.program);
+            at = self.next_cycle(at, effect);
+        }
+        if at != start {
+            self.pending = Pending::ResumeAt(at);
+        }
+    }
+
+    /// The cycle of the next instruction after a register-only one with
+    /// `effect` executed at `at`.
+    fn next_cycle(&mut self, at: Cycle, effect: Effect) -> Cycle {
+        match effect {
+            Effect::Delay(c) => resume_after(at, c as u64),
+            // A zero range draws nothing: the RNG stream stays put.
+            Effect::RandDelay(0) => resume_after(at, 0),
+            Effect::RandDelay(max) => resume_after(at, self.rng.range(0, max as u64 + 1)),
+            _ => at + 1,
+        }
     }
 
     fn execute_one(&mut self, now: Cycle, l1: &mut dyn L1Controller) {
         self.stats.instructions.inc();
         match self.thread.step(&self.program) {
             Effect::Continue | Effect::Halted => {}
-            Effect::Delay(c) => {
-                self.pending = Pending::DelayUntil(now + c as u64);
-            }
-            Effect::RandDelay(max) => {
-                let d = if max == 0 {
-                    0
-                } else {
-                    self.rng.range(0, max as u64 + 1)
-                };
-                self.pending = Pending::DelayUntil(now + d);
+            effect @ (Effect::Delay(_) | Effect::RandDelay(_)) => {
+                self.pending = Pending::ResumeAt(self.next_cycle(now, effect));
             }
             Effect::Mem(MemOp::Load { addr }) => {
                 self.stats.loads.inc();
@@ -378,7 +453,7 @@ impl Core {
         match l1.submit(now, CoreOp::Load(addr)) {
             Submit::Hit(value) => {
                 self.thread.complete_load(value);
-                self.pending = Pending::DelayUntil(now + self.cfg.l1_hit_latency);
+                self.pending = Pending::ResumeAt(resume_after(now, self.cfg.l1_hit_latency));
             }
             Submit::Miss => {
                 self.pending = Pending::WaitLoad {
@@ -405,7 +480,7 @@ impl Core {
             Submit::Hit(old) => {
                 self.thread.complete_load(old);
                 self.stats.rmw_latency.record(self.cfg.l1_hit_latency);
-                self.pending = Pending::DelayUntil(now + self.cfg.l1_hit_latency);
+                self.pending = Pending::ResumeAt(resume_after(now, self.cfg.l1_hit_latency));
             }
             Submit::Miss => {
                 self.pending = Pending::WaitRmw { issued: now };
@@ -419,13 +494,6 @@ impl Core {
         }
     }
 }
-
-/// This crate's compiled version. The orchestrator (`tsocc-orch`) folds
-/// the versions of every simulated-metric-affecting crate into the
-/// code-version fingerprint that content-addresses cached results, so
-/// bumping a crate version invalidates exactly the results its code
-/// could have changed.
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
 
 #[cfg(test)]
 mod tests;

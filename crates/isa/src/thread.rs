@@ -168,6 +168,28 @@ impl ThreadState {
         self.set_reg(rd, value);
     }
 
+    /// Whether the next [`ThreadState::step`] runs a register-only
+    /// instruction (`Movi`, `Alu`, `Alui`, `Branch`, `Jump`, `Delay`,
+    /// `RandDelay`): one that issues no memory operation and does not
+    /// halt, so it changes nothing but the registers and the pc. False
+    /// when halted, blocked on a load, or at the end of the program.
+    pub fn next_is_local(&self, program: &Program) -> bool {
+        !self.halted
+            && self.pending_rd.is_none()
+            && matches!(
+                program.fetch(self.pc),
+                Some(
+                    Instr::Movi { .. }
+                        | Instr::Alu { .. }
+                        | Instr::Alui { .. }
+                        | Instr::Branch { .. }
+                        | Instr::Jump { .. }
+                        | Instr::Delay { .. }
+                        | Instr::RandDelay { .. }
+                )
+            )
+    }
+
     /// Executes the instruction at the current pc.
     ///
     /// # Panics
@@ -401,6 +423,36 @@ mod tests {
         let mut t = ThreadState::new();
         assert_eq!(t.step(&p), Effect::Delay(17));
         assert_eq!(t.step(&p), Effect::RandDelay(9));
+    }
+
+    #[test]
+    fn next_is_local_stops_at_memory_ops_halt_and_the_end() {
+        let mut a = Asm::new();
+        a.movi(Reg::R1, 0x40);
+        a.delay(3);
+        a.load(Reg::R2, Reg::R1, 0);
+        a.rand_delay(2);
+        a.fence();
+        a.halt();
+        let p = a.finish();
+        let mut t = ThreadState::new();
+        let mut local = Vec::new();
+        while !t.is_halted() {
+            local.push(t.next_is_local(&p));
+            if let Effect::Mem(MemOp::Load { .. }) = t.step(&p) {
+                assert!(!t.next_is_local(&p), "blocked on the load");
+                t.complete_load(0);
+            }
+        }
+        assert_eq!(local, [true, true, false, true, false, false]);
+        assert!(!t.next_is_local(&p), "halted");
+
+        let mut a = Asm::new();
+        a.movi(Reg::R1, 1);
+        let p = a.finish();
+        let mut t = ThreadState::new();
+        t.step(&p);
+        assert!(!t.next_is_local(&p), "end of program");
     }
 
     #[test]

@@ -2,46 +2,23 @@
 //!
 //! A cached simulation result is only valid as long as the *code* that
 //! produced it would still produce the same simulated metrics. The
-//! fingerprint pins that: it hashes the compiled version of every crate
-//! whose code can change a simulated metric (cycle counts, message
-//! counts, final memory), plus an explicit [`SIM_EPOCH`] bump constant
-//! and the build profile. Any version bump — the workspace shares one
-//! version, so any release — or an epoch bump invalidates every cached
-//! record at lookup time; stale records simply miss and are recomputed.
+//! fingerprint pins that: it hashes [`SOURCE_HASH`] — the content of the
+//! `src/` trees of every crate whose code can change a simulated metric
+//! (cycle counts, message counts, final memory), taken by this crate's
+//! build script — plus the build profile. Any edit to those sources
+//! changes the fingerprint, so every record cached by the old code
+//! simply misses at lookup time and is recomputed.
 //!
-//! Crates that only *drive* simulations (this crate, `tsocc-bench`'s
-//! CLI/reporting layer) are deliberately not part of the fingerprint:
-//! changing how results are scheduled or serialized must not throw away
-//! results that are still correct.
+//! The crates covered are listed in
+//! [`crate::source::FINGERPRINTED_CRATES`]; crates that only *drive*
+//! simulations are deliberately left out.
 
 use crate::hash::Fnv;
 
-/// Manual invalidation epoch for simulated-metric changes that ship
-/// without a version bump (e.g. a bug fix during development on an
-/// unreleased tree). Bump it to orphan every existing cache record.
-pub const SIM_EPOCH: u64 = 1;
-
-/// The `(crate, version)` pairs the fingerprint covers: every crate on
-/// the path from a job description to a simulated metric.
-pub fn versioned_crates() -> Vec<(&'static str, &'static str)> {
-    vec![
-        ("tsocc", tsocc::CRATE_VERSION),
-        ("tsocc-sim", tsocc_sim::CRATE_VERSION),
-        ("tsocc-mem", tsocc_mem::CRATE_VERSION),
-        ("tsocc-noc", tsocc_noc::CRATE_VERSION),
-        ("tsocc-cpu", tsocc_cpu::CRATE_VERSION),
-        ("tsocc-isa", tsocc_isa::CRATE_VERSION),
-        ("tsocc-coherence", tsocc_coherence::CRATE_VERSION),
-        ("tsocc-mesi", tsocc_mesi::CRATE_VERSION),
-        ("tsocc-mesi-coarse", tsocc_mesi_coarse::CRATE_VERSION),
-        ("tsocc-proto", tsocc_proto::CRATE_VERSION),
-        ("tsocc-protocols", tsocc_protocols::CRATE_VERSION),
-        ("tsocc-workloads", tsocc_workloads::CRATE_VERSION),
-        ("tsocc-faults", tsocc_faults::CRATE_VERSION),
-        ("tsocc-conform", tsocc_conform::CRATE_VERSION),
-        ("tsocc-check", tsocc_check::CRATE_VERSION),
-    ]
-}
+/// Content hash of the `src/` trees of
+/// [`crate::source::FINGERPRINTED_CRATES`], as 16 lowercase hex digits,
+/// computed at build time.
+pub const SOURCE_HASH: &str = env!("TSOCC_SOURCE_HASH");
 
 /// The fingerprint as 16 lowercase hex digits.
 ///
@@ -51,17 +28,13 @@ pub fn versioned_crates() -> Vec<(&'static str, &'static str)> {
 /// cache (or vice versa).
 pub fn code_fingerprint() -> String {
     let mut h = Fnv::new();
-    h.eat_str("tsocc-orch-fingerprint/v1");
-    h.eat_u64(SIM_EPOCH);
+    h.eat_str("tsocc-orch-fingerprint/v2");
     h.eat_str(if cfg!(debug_assertions) {
         "debug"
     } else {
         "release"
     });
-    for (name, version) in versioned_crates() {
-        h.eat_str(name);
-        h.eat_str(version);
-    }
+    h.eat_str(SOURCE_HASH);
     format!("{:016x}", h.finish())
 }
 
@@ -76,14 +49,18 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_covers_every_simulation_crate() {
-        // The workspace pins one shared version; every entry must
-        // resolve to it (a drifted entry would mean a crate left the
-        // workspace version without the fingerprint noticing).
-        let versions = versioned_crates();
-        assert_eq!(versions.len(), 15);
-        for (name, version) in &versions {
-            assert_eq!(*version, tsocc::CRATE_VERSION, "{name} version drifted");
+    fn source_hash_is_taken_from_the_fingerprinted_trees() {
+        assert_eq!(SOURCE_HASH.len(), 16);
+        assert!(SOURCE_HASH.bytes().all(|b| b.is_ascii_hexdigit()));
+        // Recompute from the trees as they are now; the build script
+        // reruns whenever they change, so the two must agree.
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut h = Fnv::new();
+        for name in crate::source::FINGERPRINTED_CRATES {
+            h.eat_str(name);
+            crate::source::hash_tree(&mut h, &crates.join(name).join("src"))
+                .expect("hash source tree");
         }
+        assert_eq!(format!("{:016x}", h.finish()), SOURCE_HASH);
     }
 }

@@ -37,14 +37,10 @@ pub mod fingerprint;
 pub mod hash;
 pub mod jobs;
 pub mod manifest;
+pub mod source;
 
 pub use cache::{cache_key, BinCache, CacheRecord, CacheStats, ResultCache};
 pub use executor::{execute, ExecReport, JobRow};
 pub use fingerprint::code_fingerprint;
 pub use jobs::{canonical_config, JobOutcome, JobSpec};
 pub use manifest::{parse_manifest, Manifest, DEFAULT_MANIFEST};
-
-/// This crate's compiled version (not part of the code fingerprint:
-/// the orchestrator schedules and serializes results, it cannot change
-/// them).
-pub const CRATE_VERSION: &str = env!("CARGO_PKG_VERSION");
