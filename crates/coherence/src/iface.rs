@@ -139,9 +139,9 @@ impl CtrlProbe {
 /// controller): receive network messages, advance internal time, and
 /// emit outgoing messages.
 ///
-/// Controllers must be `Send`: the sharded parallel stepper moves
-/// disjoint slices of controllers onto scoped worker threads (they are
-/// never shared — each controller is owned by exactly one shard).
+/// Controllers are `Send`, so a whole machine is `Send` and may be
+/// handed to another thread. They are never shared: one run loop owns
+/// every controller of its machine.
 pub trait CacheController: Send {
     /// Delivers one message from the network.
     fn handle_message(&mut self, now: Cycle, src: Agent, msg: Msg);

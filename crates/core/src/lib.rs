@@ -61,4 +61,4 @@ pub use stats::RunStats;
 pub use system::{RunError, System};
 // The fault-injection axis, re-exported so experiment drivers can
 // build plans without naming the substrate crates.
-pub use tsocc_coherence::{FaultPlan, NocFault, ProtocolFault, StepperFault};
+pub use tsocc_coherence::{FaultPlan, NocFault, ProtocolFault};
