@@ -12,9 +12,8 @@
 //! ablation [--cores N] [--seed N] [--json PATH]
 //! ```
 //!
-//! Defaults: 16 cores, seed 7 (the same flag vocabulary as
-//! `sweep_baseline`/`conform_campaign`; the old `TSOCC_CORES` /
-//! `TSOCC_SEED` env knobs are gone). `--json` additionally writes every
+//! Defaults: 16 cores, seed 7 (the same flag vocabulary as `figures`
+//! and `conform_campaign`). `--json` additionally writes every
 //! row as a machine-readable `tsocc-ablation/v1` report. Flags parse
 //! through the shared [`tsocc_bench::cli`] surface: `--help` documents
 //! them and anything undeclared exits 2.

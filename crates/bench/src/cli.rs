@@ -1,12 +1,13 @@
-//! Shared command-line parsing for the campaign binaries.
+//! Shared command-line parsing for every binary of the workspace.
 //!
 //! `conform_campaign`, `fault_campaign` and `model_check` all speak the
 //! same core dialect — `--budget-ms N`, `--seed N`, `--out PATH`, and
 //! (where protocols are selectable) a repeatable `--protocol NAME`
 //! that is mutually exclusive with `--all-configs` — plus bin-specific
-//! extras. Each binary declares its flags against a [`Cli`] spec; the
-//! spec drives both parsing and a uniform `--help` page, so the three
-//! entry points cannot drift apart flag by flag.
+//! extras; `figures`, `ablation` and `orchestrate` declare theirs the
+//! same way. Each binary declares its flags against a [`Cli`] spec; the
+//! spec drives both parsing and a uniform `--help` page, so the entry
+//! points cannot drift apart flag by flag.
 //!
 //! Parsing is deliberately strict: an unknown flag, a missing value, or
 //! a non-numeric argument to a numeric flag aborts with the usage page
@@ -14,34 +15,35 @@
 //! stdout and exits 0). There is no partial parse to misread.
 
 use tsocc_protocols::Protocol;
+use tsocc_workloads::Scale;
 
 /// One declared flag: its name, an optional value placeholder (`None`
 /// marks a boolean switch), and the help line.
 struct FlagSpec {
     name: &'static str,
     value: Option<&'static str>,
-    /// The value may be omitted (`--check` vs `--check PATH`); the next
-    /// argument is consumed as the value only when it does not look
-    /// like another flag.
-    value_optional: bool,
     help: &'static str,
 }
 
 /// A binary's command-line specification. Build with the chainable
 /// [`Cli::opt`] / [`Cli::switch`] (plus the shared
-/// [`Cli::campaign_flags`] / [`Cli::protocol_flags`] blocks), then call
-/// [`Cli::parse`].
+/// [`Cli::campaign_flags`] / [`Cli::protocol_flags`] blocks and an
+/// optional [`Cli::positional`]), then call [`Cli::parse`].
 pub struct Cli {
     bin: &'static str,
     about: &'static str,
     specs: Vec<FlagSpec>,
+    /// Placeholder and help line for bare arguments; `None` rejects
+    /// them.
+    positional: Option<(&'static str, &'static str)>,
 }
 
-/// The parsed command line: flag occurrences in order, queried through
-/// the typed accessors on this type.
+/// The parsed command line: flag occurrences and bare arguments in
+/// order, queried through the typed accessors on this type.
 pub struct ParsedArgs {
     bin: &'static str,
     values: Vec<(&'static str, Option<String>)>,
+    positionals: Vec<String>,
 }
 
 impl Cli {
@@ -52,6 +54,7 @@ impl Cli {
             bin,
             about,
             specs: Vec::new(),
+            positional: None,
         }
     }
 
@@ -61,27 +64,15 @@ impl Cli {
         self.specs.push(FlagSpec {
             name,
             value: Some(value),
-            value_optional: false,
             help,
         });
         self
     }
 
-    /// Declares a flag whose value may be omitted (`--check` or
-    /// `--check PATH`): the following argument is consumed as the value
-    /// only when it does not start with `-`.
-    pub fn opt_default(
-        mut self,
-        name: &'static str,
-        value: &'static str,
-        help: &'static str,
-    ) -> Self {
-        self.specs.push(FlagSpec {
-            name,
-            value: Some(value),
-            value_optional: true,
-            help,
-        });
+    /// Accepts bare (non-flag) arguments, shown as `value...` in the
+    /// usage page and read back with [`ParsedArgs::positionals`].
+    pub fn positional(mut self, value: &'static str, help: &'static str) -> Self {
+        self.positional = Some((value, help));
         self
     }
 
@@ -90,7 +81,6 @@ impl Cli {
         self.specs.push(FlagSpec {
             name,
             value: None,
-            value_optional: false,
             help,
         });
         self
@@ -145,22 +135,19 @@ impl Cli {
     /// The fallible core of [`Cli::parse`], separated for unit tests.
     fn try_parse(&self, args: &[String]) -> Result<ParsedArgs, String> {
         let mut values = Vec::new();
-        let mut iter = args.iter().peekable();
+        let mut positionals = Vec::new();
+        let mut iter = args.iter();
         while let Some(arg) = iter.next() {
+            if self.positional.is_some() && !arg.starts_with('-') {
+                positionals.push(arg.clone());
+                continue;
+            }
             let spec = self
                 .specs
                 .iter()
                 .find(|s| s.name == arg.as_str())
                 .ok_or_else(|| format!("unknown flag {arg:?}"))?;
             let value = match spec.value {
-                Some(_) if spec.value_optional => {
-                    // Only a non-flag-looking argument binds as the
-                    // value; `--check --fast` leaves `--check` bare.
-                    match iter.peek() {
-                        Some(next) if !next.starts_with('-') => iter.next().cloned(),
-                        _ => None,
-                    }
-                }
                 Some(_) => Some(
                     iter.next()
                         .ok_or_else(|| format!("{} needs an argument", spec.name))?
@@ -173,6 +160,7 @@ impl Cli {
         Ok(ParsedArgs {
             bin: self.bin,
             values,
+            positionals,
         })
     }
 
@@ -181,10 +169,12 @@ impl Cli {
         let mut page = format!("{} — {}\n\nusage: {}", self.bin, self.about, self.bin);
         for spec in &self.specs {
             match spec.value {
-                Some(v) if spec.value_optional => page.push_str(&format!(" [{} [{v}]]", spec.name)),
                 Some(v) => page.push_str(&format!(" [{} {v}]", spec.name)),
                 None => page.push_str(&format!(" [{}]", spec.name)),
             }
+        }
+        if let Some((value, help)) = self.positional {
+            page.push_str(&format!(" {value}...\n\narguments:\n  {value}  {help}"));
         }
         page.push_str("\n\nflags:\n");
         let width = self
@@ -195,7 +185,6 @@ impl Cli {
             .unwrap_or(0);
         for spec in &self.specs {
             let head = match spec.value {
-                Some(v) if spec.value_optional => format!("{} [{v}]", spec.name),
                 Some(v) => format!("{} {v}", spec.name),
                 None => spec.name.to_string(),
             };
@@ -233,6 +222,36 @@ impl ParsedArgs {
     /// [`ParsedArgs::u64`] narrowed to `usize`.
     pub fn usize(&self, name: &str) -> Option<usize> {
         self.u64(name).map(|v| v as usize)
+    }
+
+    /// Last occurrence of a comma-separated list of counts (`--cores
+    /// 2,4,8`); aborts on an entry that is not a number or on an empty
+    /// list.
+    pub fn usize_list(&self, name: &str) -> Option<Vec<usize>> {
+        self.str(name).map(|v| {
+            let list: Result<Vec<usize>, _> = v.split(',').map(|s| s.trim().parse()).collect();
+            match list {
+                Ok(list) if !list.is_empty() => list,
+                _ => self.bail(format!(
+                    "{name} needs a comma-separated list of numbers, got {v:?}"
+                )),
+            }
+        })
+    }
+
+    /// Last occurrence of a workload-scale flag, by [`Scale::name`];
+    /// aborts on any other name.
+    pub fn scale(&self, name: &str) -> Option<Scale> {
+        self.str(name).map(|v| {
+            Scale::from_name(v).unwrap_or_else(|| {
+                self.bail(format!("{name} needs one of tiny, small, full, got {v:?}"))
+            })
+        })
+    }
+
+    /// The bare arguments, in order (see [`Cli::positional`]).
+    pub fn positionals(&self) -> &[String] {
+        &self.positionals
     }
 
     /// Whether a boolean switch was given.
@@ -283,7 +302,8 @@ mod tests {
             .campaign_flags()
             .protocol_flags()
             .switch("--fast", "a switch")
-            .opt_default("--check", "PATH", "an optional-value flag")
+            .opt("--cores", "LIST", "a list flag")
+            .opt("--scale", "NAME", "a scale flag")
     }
 
     fn parse(args: &[&str]) -> Result<ParsedArgs, String> {
@@ -328,18 +348,28 @@ mod tests {
     }
 
     #[test]
-    fn optional_value_flags_bind_only_non_flag_arguments() {
-        // Bare: flag present, no value.
-        let args = parse(&["--check"]).unwrap();
-        assert!(args.present("--check"));
-        assert_eq!(args.str("--check"), None);
-        // With a value.
-        let args = parse(&["--check", "a.json"]).unwrap();
-        assert_eq!(args.str("--check"), Some("a.json"));
-        // Followed by another flag: the flag is not eaten as a value.
-        let args = parse(&["--check", "--fast"]).unwrap();
-        assert!(args.present("--check") && args.present("--fast"));
-        assert_eq!(args.str("--check"), None);
+    fn bare_arguments_need_a_declared_positional() {
+        assert!(parse(&["fig3"]).is_err());
+        let owned: Vec<String> = ["fig3", "--seed", "4", "fig5"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let args = spec()
+            .positional("SELECTION", "what to render")
+            .try_parse(&owned)
+            .unwrap();
+        assert_eq!(args.positionals(), ["fig3", "fig5"]);
+        assert_eq!(args.u64("--seed"), Some(4));
+    }
+
+    #[test]
+    fn lists_and_scales_parse_by_name() {
+        let args = parse(&["--cores", "2, 4,8", "--scale", "tiny"]).unwrap();
+        assert_eq!(args.usize_list("--cores"), Some(vec![2, 4, 8]));
+        assert_eq!(args.scale("--scale"), Some(Scale::Tiny));
+        let args = parse(&[]).unwrap();
+        assert_eq!(args.usize_list("--cores"), None);
+        assert_eq!(args.scale("--scale"), None);
     }
 
     #[test]

@@ -414,18 +414,12 @@ fn ensure_sweep(sweep: &mut Option<Sweep>, opts: crate::SweepOpts) -> &Sweep {
     sweep.as_ref().expect("just filled")
 }
 
-/// Renders one figure or table (or `all` of them, in the historical
-/// `all_figures` order), running the benchmark sweep only when the
-/// selection needs it. Returns an error listing the valid selections
-/// for anything unrecognized.
-pub fn render(selection: &str, opts: crate::SweepOpts) -> Result<(), String> {
-    render_all(&[selection], opts)
-}
-
-/// Renders several selections in order, sharing **one** benchmark
-/// sweep across all of them (the sweep dominates the cost, so
+/// Renders figures and tables in order (`all` prints every one),
+/// sharing **one** benchmark sweep across them and running it only
+/// when a selection needs it (the sweep dominates the cost, so
 /// `figures fig3 fig5` must not run it twice). Every selection is
-/// validated before any work starts.
+/// validated before any work starts; anything unrecognized returns an
+/// error listing the valid selections.
 pub fn render_all<S: AsRef<str>>(selections: &[S], opts: crate::SweepOpts) -> Result<(), String> {
     for s in selections {
         if !SELECTIONS.contains(&s.as_ref()) {

@@ -1,27 +1,23 @@
 //! Evaluation harness: regenerates every table and figure of the paper.
 //!
 //! The `figures` binary reproduces any table or figure via a
-//! subcommand (`figures fig3`, `figures table1`, …; see DESIGN.md §6);
-//! `figures all` — aliased by the `all_figures` binary — runs the
-//! benchmark sweep once and prints everything. `litmus`,
-//! `sweep_baseline`, `ablation` and `conform_campaign` cover the
-//! remaining entry points.
+//! subcommand (`figures fig3`, `figures table1`, …, `figures all`; see
+//! DESIGN.md §6) and takes `--cores`, `--scale`, `--seed` and `--jobs`
+//! through the shared [`cli`] surface. `litmus` and `ablation` cover
+//! the remaining entry points here; the committed sweep artifact
+//! `BENCH_sweep.json` is written and drift-checked by `orchestrate
+//! sweep` in `tsocc-orch`.
 //!
-//! Environment knobs (read by [`SweepOpts::from_env`]):
-//!
-//! - `TSOCC_CORES` — core count (default 32, the paper's Table 2),
-//! - `TSOCC_SCALE` — `tiny` / `small` / `full` workload scale,
-//! - `TSOCC_SEED` — simulation seed,
-//! - `TSOCC_THREADS` — sweep worker threads (default: one per CPU).
-//!
-//! Sweeps fan configuration points out over worker threads with
-//! deterministic per-point seeds (see [`sweep::run_points`]); serial
-//! and parallel runs produce identical results.
+//! [`pool::run_indexed`] is the one index-keyed fan-out: the sweep
+//! engine ([`sweep::run_points`]) and the orchestrator's executor both
+//! run through it. Every point derives its seed from its identity, so
+//! serial and parallel runs produce identical results.
 
 pub mod cli;
 pub mod figures;
 pub mod hang;
 pub mod json;
+pub mod pool;
 pub mod sweep;
 
 pub use sweep::{PointResult, Sweep, SweepOpts, SweepPoint};

@@ -1,5 +1,6 @@
 //! The sweep engine: runs a matrix of (benchmark × protocol × machine)
-//! configuration points, fanning the points out over worker threads.
+//! configuration points, fanning the points out over worker threads
+//! through [`crate::pool`].
 //!
 //! Each point gets a **deterministic seed** derived from the base seed
 //! and the point's identity (benchmark, protocol, core count) — never
@@ -12,7 +13,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tsocc::{RunStats, Stepper, System, SystemConfig};
@@ -21,7 +21,7 @@ use tsocc_protocols::Protocol;
 use tsocc_sim::rng::SplitMix64;
 use tsocc_workloads::{Benchmark, Scale};
 
-use crate::json;
+use crate::{json, pool};
 
 /// Sweep parameters.
 #[derive(Clone, Copy, Debug)]
@@ -45,38 +45,6 @@ impl Default for SweepOpts {
             seed: 0xC0FFEE,
             threads: 0,
         }
-    }
-}
-
-impl SweepOpts {
-    /// Reads `TSOCC_CORES`, `TSOCC_SCALE`, `TSOCC_SEED` and
-    /// `TSOCC_THREADS` from the environment, falling back to the paper
-    /// defaults.
-    pub fn from_env() -> Self {
-        let mut opts = SweepOpts::default();
-        if let Ok(v) = std::env::var("TSOCC_CORES") {
-            if let Ok(n) = v.parse() {
-                opts.n_cores = n;
-            }
-        }
-        if let Ok(v) = std::env::var("TSOCC_SCALE") {
-            opts.scale = match v.to_ascii_lowercase().as_str() {
-                "tiny" => Scale::Tiny,
-                "full" => Scale::Full,
-                _ => Scale::Small,
-            };
-        }
-        if let Ok(v) = std::env::var("TSOCC_SEED") {
-            if let Ok(n) = v.parse() {
-                opts.seed = n;
-            }
-        }
-        if let Ok(v) = std::env::var("TSOCC_THREADS") {
-            if let Ok(n) = v.parse() {
-                opts.threads = n;
-            }
-        }
-        opts
     }
 }
 
@@ -137,7 +105,7 @@ impl SweepPoint {
     }
 
     /// Runs this point under a specific [`Stepper`] — the hook behind
-    /// the baseline's stepper-parity leg, which re-runs the whole
+    /// the drift check's stepper-parity leg, which re-runs the whole
     /// matrix under `Reference` and diffs the results (including the
     /// memory fingerprint) against the default.
     pub fn run_with_stepper(&self, base_seed: u64, stepper: Stepper) -> PointResult {
@@ -218,22 +186,33 @@ impl PointResult {
         self.stats.cycles as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 
+    /// The row's deterministic fields, in artifact order: everything a
+    /// drift check compares (wall-clock fields are host-dependent and
+    /// left out).
+    pub fn simulated_fields(&self) -> [(&'static str, u64); 10] {
+        [
+            ("seed", self.seed),
+            ("cycles", self.stats.cycles),
+            ("instructions", self.stats.instructions),
+            ("msgs", self.stats.noc.total_messages()),
+            ("flits", self.stats.total_flits()),
+            ("flit_hops", self.stats.noc.flit_hops.get()),
+            ("mem_fp", self.mem_fp),
+            ("sched_pops", self.stats.sched.events_popped),
+            ("sched_pushes", self.stats.sched.pushes),
+            ("sched_stale_skips", self.stats.sched.stale_skips),
+        ]
+    }
+
     /// The point as a JSON object (the `BENCH_sweep.json` row format).
     pub fn to_json(&self) -> String {
-        json::Object::new()
+        let row = json::Object::new()
             .str("bench", &self.bench)
             .str("config", &self.config)
-            .u64("n_cores", self.n_cores as u64)
-            .u64("seed", self.seed)
-            .u64("cycles", self.stats.cycles)
-            .u64("instructions", self.stats.instructions)
-            .u64("msgs", self.stats.noc.total_messages())
-            .u64("flits", self.stats.total_flits())
-            .u64("flit_hops", self.stats.noc.flit_hops.get())
-            .u64("mem_fp", self.mem_fp)
-            .u64("sched_pops", self.stats.sched.events_popped)
-            .u64("sched_pushes", self.stats.sched.pushes)
-            .u64("sched_stale_skips", self.stats.sched.stale_skips)
+            .u64("n_cores", self.n_cores as u64);
+        self.simulated_fields()
+            .into_iter()
+            .fold(row, |row, (key, value)| row.u64(key, value))
             .f64("wall_seconds", self.wall.as_secs_f64())
             .f64("sim_cycles_per_second", self.sim_cycles_per_second())
             .build()
@@ -242,10 +221,9 @@ impl PointResult {
 
 /// The committed-baseline matrix (`BENCH_sweep.json`): every sweep
 /// protocol configuration ([`Protocol::sweep_configs`]) at each core
-/// count, on the fft benchmark. The `sweep_baseline` writer, its drift
-/// checker, and the orchestrator's `sweep` subcommand all build the
-/// matrix through this one function, so they can never disagree on its
-/// shape.
+/// count, on the fft benchmark. `orchestrate sweep` builds the matrix
+/// through this one function both when it writes the artifact and when
+/// `--check` re-runs it, so the two can never disagree on its shape.
 pub fn baseline_matrix(scale: Scale, core_counts: &[usize]) -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for &n_cores in core_counts {
@@ -261,20 +239,12 @@ pub fn baseline_matrix(scale: Scale, core_counts: &[usize]) -> Vec<SweepPoint> {
     points
 }
 
-/// How many workers a fan-out should actually use.
-fn effective_threads(requested: usize, n_points: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let t = if requested == 0 { auto } else { requested };
-    t.clamp(1, n_points.max(1))
-}
-
 /// Runs `points` on `threads` workers (0 = one per CPU) and returns the
 /// results in point order.
 ///
-/// Workers pull points off a shared counter, so long points do not
-/// stall the queue behind them. Results are keyed by point index:
-/// output order (and content, thanks to per-point seeds) is identical
-/// no matter the interleaving.
+/// The points fan out through [`crate::pool::run_indexed`]: output
+/// order (and content, thanks to per-point seeds) is identical no
+/// matter the interleaving.
 ///
 /// # Panics
 ///
@@ -283,49 +253,31 @@ pub fn run_points(points: &[SweepPoint], threads: usize, base_seed: u64) -> Vec<
     run_points_with(points, threads, base_seed, Stepper::default())
 }
 
-/// [`run_points`] under a specific [`Stepper`] (the stepper-parity
-/// leg of `sweep_baseline` re-runs the matrix under `Reference`
-/// through this).
+/// [`run_points`] under a specific [`Stepper`] (`orchestrate sweep
+/// --check` re-runs the matrix under `Reference` through this).
 pub fn run_points_with(
     points: &[SweepPoint],
     threads: usize,
     base_seed: u64,
     stepper: Stepper,
 ) -> Vec<PointResult> {
-    let threads = effective_threads(threads, points.len());
-    let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<PointResult>>> = points.iter().map(|_| Mutex::new(None)).collect();
     let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(point) = points.get(i) else { break };
-                let result = point.run_with_stepper(base_seed, stepper);
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                eprintln!(
-                    "[{:>7.1?}] {:>3}/{} {:<16} {:<16} {:>12} cycles ({:.1?})",
-                    start.elapsed(),
-                    finished,
-                    points.len(),
-                    result.bench,
-                    result.config,
-                    result.stats.cycles,
-                    result.wall,
-                );
-                *slots[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("no worker panicked holding a result slot")
-                .expect("every slot filled once the scope joins")
-        })
-        .collect()
+    pool::run_indexed(points.len(), threads, |i| {
+        let result = points[i].run_with_stepper(base_seed, stepper);
+        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+        eprintln!(
+            "[{:>7.1?}] {:>3}/{} {:<16} {:<16} {:>12} cycles ({:.1?})",
+            start.elapsed(),
+            finished,
+            points.len(),
+            result.bench,
+            result.config,
+            result.stats.cycles,
+            result.wall,
+        );
+        result
+    })
 }
 
 /// Results of one full sweep, keyed by (benchmark, configuration).
@@ -372,20 +324,7 @@ impl Sweep {
     /// progress to stderr.
     pub fn run(opts: SweepOpts) -> Sweep {
         let points = Sweep::paper_points(&opts);
-        let results = run_points(&points, opts.threads, opts.seed);
-        Sweep::from_results(opts, results)
-    }
-
-    /// Runs the full sweep on the calling thread only (the reference
-    /// mode the parallel engine is checked against).
-    pub fn run_serial(opts: SweepOpts) -> Sweep {
-        let points = Sweep::paper_points(&opts);
-        let results = run_points(&points, 1, opts.seed);
-        Sweep::from_results(opts, results)
-    }
-
-    fn from_results(opts: SweepOpts, results: Vec<PointResult>) -> Sweep {
-        let results = results
+        let results = run_points(&points, opts.threads, opts.seed)
             .into_iter()
             .map(|r| ((r.bench, r.config), r.stats))
             .collect();
@@ -424,14 +363,6 @@ mod tests {
             seed: 1,
             threads: 0,
         }
-    }
-
-    #[test]
-    fn env_parsing_defaults() {
-        let o = SweepOpts::default();
-        assert_eq!(o.n_cores, 32);
-        assert!(matches!(o.scale, Scale::Small));
-        assert_eq!(o.threads, 0);
     }
 
     #[test]

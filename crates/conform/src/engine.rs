@@ -1,14 +1,22 @@
 //! The campaign driver: generate → enumerate → simulate → check →
 //! shrink, fanned out over worker threads.
 //!
-//! Work distribution follows the sweep engine's pattern
-//! (`tsocc-bench::sweep`): workers pull program indices off a shared
-//! atomic counter, and everything a program does — generation,
-//! enumeration, simulation seeds — derives deterministically from the
-//! campaign seed and the program index, never from which worker picked
-//! it up. A campaign runs until its time budget expires *and* at least
-//! `min_programs` programs have been checked, so CI smokes can pin a
-//! floor while nightly runs scale with their budget.
+//! Workers pull program indices off a shared atomic counter, and
+//! everything a program does — generation, enumeration, simulation
+//! seeds — derives deterministically from the campaign seed and the
+//! program index, never from which worker picked it up. A campaign runs
+//! until its time budget expires *and* at least `min_programs` programs
+//! have been checked, so CI smokes can pin a floor while nightly runs
+//! scale with their budget.
+//!
+//! This is the one fan-out that does not go through the workspace's
+//! index-keyed pool (`tsocc_bench::pool::run_indexed`). A campaign is
+//! an open-ended stream that stops on a time budget, so there is no job
+//! count to size the pool's result slots with, and each worker folds
+//! its programs into a local report instead. Splitting the stream into
+//! fixed-size rounds would idle every worker at each round's barrier
+//! for the length of its slowest program, for the whole of a nightly
+//! budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};

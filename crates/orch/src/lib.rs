@@ -1,6 +1,6 @@
-//! Campaign orchestrator: a content-addressed result cache and a
-//! work-stealing job executor over the simulator's sweep, conformance,
-//! and model-checking campaigns.
+//! Campaign orchestrator: a content-addressed result cache and a job
+//! executor over the simulator's sweep, conformance, and model-checking
+//! campaigns.
 //!
 //! Most campaign work between two commits is *unchanged* work: the same
 //! sweep point under the same machine description produces the same
@@ -16,18 +16,19 @@
 //!   [`fingerprint::code_fingerprint`] of every simulated-metric-
 //!   affecting crate. Changed code misses; unchanged jobs are served
 //!   (after byte-level validation) without re-simulating.
-//! - [`executor::execute`] fans a job list out over scoped worker
-//!   threads with work stealing: an idle worker refills from a shared
-//!   injector deque and, when that runs dry, steals from the back of a
-//!   sibling's queue, so one long 128-core point cannot strand the
-//!   queue behind it. Results are keyed by job index and all seeds by
-//!   job identity, so any worker count produces identical rows.
+//! - [`executor::execute`] fans a job list out through the workspace's
+//!   one index-keyed pool ([`tsocc_bench::pool::run_indexed`]): workers
+//!   take the next job off a shared counter, so one long 128-core point
+//!   cannot strand the jobs behind it. Results are keyed by job index
+//!   and all seeds by job identity, so any worker count produces
+//!   identical rows.
 //! - [`manifest`] expands a declarative `tsocc-campaign-manifest/v1`
 //!   document (sweep points, conformance program chunks, model-check
 //!   families) into jobs.
 //!
-//! The `orchestrate` binary fronts all of it with `sweep`, `campaign`
-//! and `status` subcommands; `conform_campaign`, `fault_campaign` and
+//! The `orchestrate` binary fronts all of it with `sweep` (which also
+//! writes and drift-checks the committed `BENCH_sweep.json`),
+//! `campaign` and `status` subcommands; `conform_campaign`, `fault_campaign` and
 //! `model_check` live in this crate too, so their `--cache-dir` flag
 //! can route through the same store.
 

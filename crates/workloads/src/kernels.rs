@@ -33,6 +33,22 @@ impl Scale {
             Scale::Full => 20,
         }
     }
+
+    /// The lowercase name written to artifacts and taken by `--scale`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// The inverse of [`Scale::name`]; `None` for any other string.
+    pub fn from_name(name: &str) -> Option<Scale> {
+        [Scale::Tiny, Scale::Small, Scale::Full]
+            .into_iter()
+            .find(|s| s.name() == name)
+    }
 }
 
 /// A ready-to-run multi-threaded workload.
@@ -758,6 +774,17 @@ fn stamp(n: usize, shape: StampShape, seed: u64) -> Vec<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_round_trip_and_unknown_names_are_rejected() {
+        for scale in [Scale::Tiny, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::from_name(scale.name()), Some(scale));
+            assert_eq!(scale.name(), format!("{scale:?}").to_lowercase());
+        }
+        for bad in ["huge", "", "Small", "tiny "] {
+            assert_eq!(Scale::from_name(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn all_benchmarks_build_for_various_thread_counts() {

@@ -15,8 +15,8 @@
 //! engine, lives in [`tsocc_bench`]; the conformance campaign engine
 //! (N-thread litmus generation, model-oracle checking, counterexample
 //! shrinking) lives in [`tsocc_conform`]. Campaign orchestration — the
-//! content-addressed result cache and the work-stealing job executor
-//! behind the `orchestrate` bin — lives in [`tsocc_orch`].
+//! content-addressed result cache and the job executor behind the
+//! `orchestrate` bin — lives in [`tsocc_orch`].
 
 pub use tsocc;
 pub use tsocc_bench;
